@@ -17,15 +17,12 @@ from .errors import (  # noqa: F401
 )
 from .matrices import (  # noqa: F401
     FeatureMatrix,
-    PairIndex,
     SimilarityMatrix,
-    upper_triangle_pairs,
     validate_feature_matrix,
     validate_similarity_matrix,
 )
 from .nnls import NnlsProblem, NnlsSolution, kkt_residual, solve_nnls  # noqa: F401
 from .adclus import (  # noqa: F401
-    DesignMatrix,
     WeightSolution,
     build_design,
     fit,

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelMismatch, LengthMismatch, ZeroVariance
-from .matrices import FeatureMatrix, PairIndex, SimilarityMatrix, upper_triangle_pairs
+from .matrices import FeatureMatrix, SimilarityMatrix
 from .nnls import NnlsProblem, solve_nnls
 from .sizelaw import pearson
 
 __all__ = [
-    "DesignMatrix",
     "WeightSolution",
     "build_design",
     "fit",
@@ -27,20 +26,6 @@ __all__ = [
     "r_squared",
     "upper_triangle_values",
 ]
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """One row per object pair; cell (p, k) = f_ik * f_jk for pair p = (i, j)."""
-
-    cells: np.ndarray  # pairs x features, float64
-    pair_order: tuple[PairIndex, ...]
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.float64))
-        object.__setattr__(self, "pair_order", tuple(self.pair_order))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
 
 @dataclass(frozen=True)
@@ -72,16 +57,14 @@ def upper_triangle_values(similarity: SimilarityMatrix) -> np.ndarray:
     return similarity.cells[ii, jj]
 
 
-def build_design(features: FeatureMatrix) -> DesignMatrix:
-    """Element-wise products of feature rows for every object pair."""
-    n = features.n_objects
-    ii, jj = np.triu_indices(n, k=1)
-    cells = (features.cells[ii] * features.cells[jj]).astype(np.float64)
-    return DesignMatrix(
-        cells=cells,
-        pair_order=tuple(upper_triangle_pairs(n)),
-        feature_names=features.feature_names,
-    )
+def build_design(features: FeatureMatrix) -> np.ndarray:
+    """Pairs x features float64 array: row p = (i, j) holds f_ik * f_jk.
+
+    Rows follow the row-major upper-triangle pair order of
+    ``upper_triangle_values``.
+    """
+    ii, jj = np.triu_indices(features.n_objects, k=1)
+    return (features.cells[ii] * features.cells[jj]).astype(np.float64)
 
 
 def predict(features: FeatureMatrix, weights) -> SimilarityMatrix:
@@ -134,9 +117,8 @@ def fit(
             "feature and similarity matrices label different objects "
             f"({features.object_names[:3]}... vs {similarity.object_names[:3]}...)"
         )
-    design = build_design(features)
+    columns = build_design(features)
     target = upper_triangle_values(similarity)
-    columns = design.cells
     if with_intercept:
         columns = np.hstack([columns, np.ones((columns.shape[0], 1))])
     solution = solve_nnls(
@@ -148,12 +130,11 @@ def fit(
     weights = solution.weights[:k]
     intercept_weight = float(solution.weights[k]) if with_intercept else 0.0
     active = tuple(i for i in solution.active_set if i < k)
+    # Adding a zero intercept is exact, so without one this equals
+    # r_squared(predict(features, weights), similarity) bit for bit.
+    fitted = upper_triangle_values(predict(features, weights)) + intercept_weight
     try:
-        if with_intercept:
-            fitted = design.cells @ weights + intercept_weight
-            r2 = _squared_pearson(fitted, target)
-        else:
-            r2 = r_squared(predict(features, weights), similarity)
+        r2 = _squared_pearson(fitted, target)
     except ZeroVariance:
         r2 = float("nan")
     return WeightSolution(

@@ -166,24 +166,29 @@ def likelihood(hypothesis, examples, mode: str = STRONG_SAMPLING) -> float:
     return (1.0 / len(h)) ** len(examples)
 
 
-def _check_examples(space: HypothesisSpace, examples) -> tuple[str, ...]:
-    examples = tuple(str(e) for e in examples)
-    if not examples:
-        raise InconsistentExamples("need at least one example")
-    known = set(space.object_names)
-    for e in examples:
-        if e not in known:
-            raise UnknownObject(f"example {e!r} is not an object of this space")
-    return examples
+def _size_factors(space: HypothesisSpace, n_examples: int) -> np.ndarray:
+    # Per-hypothesis likelihood of n consistent examples: |h|^-n under
+    # strong sampling, 1 under weak sampling.
+    if space.likelihood_mode == STRONG_SAMPLING:
+        return space.sizes.astype(np.float64) ** float(-n_examples)
+    return np.ones(space.n_hypotheses)
+
+
+def _object_row(space: HypothesisSpace, name: str, role: str) -> int:
+    try:
+        return space.object_names.index(name)
+    except ValueError:
+        raise UnknownObject(f"{role} {name!r} is not an object of this space") from None
 
 
 def posterior(space: HypothesisSpace, examples) -> PosteriorDistribution:
     """Bayes-rule posterior over hypotheses given observed examples."""
-    examples = _check_examples(space, examples)
-    likes = np.array(
-        [likelihood(h, examples, space.likelihood_mode) for h in space.hypotheses]
-    )
-    unnormalized = likes * space.priors
+    examples = tuple(str(e) for e in examples)
+    if not examples:
+        raise InconsistentExamples("need at least one example")
+    rows = [_object_row(space, e, "example") for e in examples]
+    consistent = space.membership[rows].all(axis=0)
+    unnormalized = consistent * _size_factors(space, len(examples)) * space.priors
     normalizer = float(unnormalized.sum())
     if normalizer <= 0.0:
         raise InconsistentExamples(
@@ -198,10 +203,9 @@ def posterior(space: HypothesisSpace, examples) -> PosteriorDistribution:
 
 def generalize(space: HypothesisSpace, examples, target: str) -> float:
     """Posterior probability that the target falls under the same concept."""
-    if target not in set(space.object_names):
-        raise UnknownObject(f"target {target!r} is not an object of this space")
+    row = _object_row(space, target, "target")
     post = posterior(space, examples)
-    mask = np.array([target in h for h in space.hypotheses])
+    mask = space.membership[row].astype(bool)
     value = float(post.probabilities[mask].sum())
     return min(1.0, max(0.0, value))
 
@@ -217,11 +221,7 @@ def generalization_matrix(space: HypothesisSpace, n_examples: int = 1) -> Simila
     if space.n_objects < 2:
         raise TooFewObjects("a similarity matrix needs at least 2 objects")
     member = space.membership.astype(np.float64)
-    if space.likelihood_mode == STRONG_SAMPLING:
-        factors = space.sizes.astype(np.float64) ** float(-n_examples)
-    else:
-        factors = np.ones(space.n_hypotheses)
-    unnormalized = member * (factors * space.priors)
+    unnormalized = member * (_size_factors(space, n_examples) * space.priors)
     normalizers = unnormalized.sum(axis=1)
     if (normalizers <= 0.0).any():
         missing = space.object_names[int(np.argmax(normalizers <= 0.0))]
@@ -318,7 +318,7 @@ def plant_dataset(
     feature_names = tuple(f"f{k + 1:03d}" for k in range(n_features))
     features = FeatureMatrix(object_names, feature_names, cells)
     weights = _law_weights(weight_law, features.feature_sizes)
-    pair_values = (cells[ii] * cells[jj]).astype(np.float64) @ weights
+    pair_values = design @ weights
     if noise_sd > 0.0:
         pair_values = pair_values + rng.normal(0.0, noise_sd, pair_values.size)
     grid = np.zeros((n_objects, n_objects))

@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,20 +52,6 @@ EXIT_INGEST = 2
 EXIT_SOLVER = 3
 EXIT_STATS = 4
 EXIT_IO = 5
-
-THREADS_ENV = "SIZE_LENS_THREADS"
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return max(1, value)
-
 
 def _versions() -> dict:
     return {
@@ -191,13 +175,7 @@ def cmd_analyze(args) -> int:
         )
         for i in range(n)
     ]
-    cap = _thread_cap() or (os.cpu_count() or 1)
-    workers = max(1, min(len(jobs), cap))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_analyze_one, jobs))
-    else:
-        outcomes = [_analyze_one(job) for job in jobs]
+    outcomes = [_analyze_one(job) for job in jobs]
     reports = [report for report, _ in outcomes]
     write_table(reports, out_dir / "table.csv")
     used = set()
@@ -222,7 +200,6 @@ def cmd_analyze(args) -> int:
         "kkt_tol": args.kkt_tol,
         "max_iter": args.max_iter,
         "out_dir": str(args.out_dir),
-        "threads": cap,
     }
     _write_manifest(out_dir, "analyze", flags, {"datasets": [meta for _, meta in outcomes]})
     return 0

@@ -47,16 +47,11 @@ ALIGNMENT_POLICIES = ("strict", "intersect")
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a bundle came from and what was done to it."""
+    """How a bundle was aligned: the policy and the objects each side lost."""
 
-    feature_path: str = ""
-    similarity_path: str = ""
     alignment_policy: str = "strict"
     dropped_from_features: tuple[str, ...] = ()
     dropped_from_similarity: tuple[str, ...] = ()
-    min_feature_size: int | None = None
-    max_feature_size: int | None = None
-    similarity_normalized: bool = False
 
 
 @dataclass(frozen=True)

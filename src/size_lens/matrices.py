@@ -7,7 +7,6 @@ are the only sanctioned way to bring external data into the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,21 +24,12 @@ from .errors import (
 __all__ = [
     "FeatureMatrix",
     "SimilarityMatrix",
-    "PairIndex",
     "validate_feature_matrix",
     "validate_similarity_matrix",
-    "upper_triangle_pairs",
 ]
 
 # Relative factor for the default similarity symmetrization tolerance.
 DEFAULT_SYMMETRY_RTOL = 1e-9
-
-
-class PairIndex(NamedTuple):
-    """An unordered object pair stored as i < j."""
-
-    i: int
-    j: int
 
 
 def _check_unique(labels, axis):
@@ -160,10 +150,3 @@ def validate_similarity_matrix(object_names, cells, symmetry_tolerance=None) -> 
         )
     # (s_ij + s_ji) / 2 == (s_ji + s_ij) / 2, so the result is exactly symmetric.
     return SimilarityMatrix(object_names, (arr + arr.T) / 2.0)
-
-
-def upper_triangle_pairs(n: int) -> list[PairIndex]:
-    """All object pairs (i, j) with i < j, in row-major order."""
-    if n < 2:
-        raise TooFewObjects(f"need at least 2 objects, got {n}")
-    return [PairIndex(i, j) for i in range(n) for j in range(i + 1, n)]

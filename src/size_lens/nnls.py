@@ -97,7 +97,6 @@ def solve_nnls(
     problem: NnlsProblem,
     kkt_tolerance: float | None = None,
     max_iterations: int | None = None,
-    warm_start=(),
 ) -> NnlsSolution:
     """Solve min ||A x - b|| subject to x >= 0.
 
@@ -110,9 +109,6 @@ def solve_nnls(
     max_iterations : int, optional
         Outer-iteration budget. Defaults to three times the column count.
         When exhausted, the best iterate is returned with converged=False.
-    warm_start : iterable of int, optional
-        Column indices used to seed the passive set. Re-solving with a
-        previous solution's active set reproduces it immediately.
     """
     a = problem.design
     b = problem.target
@@ -134,7 +130,7 @@ def solve_nnls(
     stalled_drops = 0
     converged = False
 
-    def restore_feasibility(entered: int | None) -> bool:
+    def restore_feasibility(entered: int) -> None:
         # Inner loop: accept the subproblem solution if it is positive on
         # every passive column, otherwise step toward it until the first
         # column hits zero and drop every column that does.
@@ -144,9 +140,9 @@ def solve_nnls(
             cols = np.flatnonzero(passive)
             if cols.size == 0:
                 x[:] = 0.0
-                return True
+                return
             sub = _least_squares(a[:, cols], b)
-            if first and entered is not None and sub[np.searchsorted(cols, entered)] <= 0.0:
+            if first and sub[np.searchsorted(cols, entered)] <= 0.0:
                 # The entering column gained nothing: its coefficient is
                 # pinned at or below zero, which only happens when the
                 # passive submatrix is numerically singular. Drop it.
@@ -159,7 +155,7 @@ def solve_nnls(
                     DegenerateColumnWarning,
                     stacklevel=3,
                 )
-                return False
+                return
             first = False
             z = np.zeros(k)
             z[cols] = sub
@@ -167,7 +163,7 @@ def solve_nnls(
             if not negative.any():
                 x[:] = 0.0
                 x[cols] = sub
-                return True
+                return
             numer = x[negative]
             denom = numer - z[negative]
             # denom == 0 only when a column sits at zero already; it leaves at alpha 0.
@@ -179,13 +175,6 @@ def solve_nnls(
             reentry_at[leaving] = outer + 1
             x[~passive] = 0.0
             np.maximum(x, 0.0, out=x)
-
-    if warm_start:
-        seeds = sorted({int(c) for c in warm_start})
-        if seeds and (seeds[0] < 0 or seeds[-1] >= k):
-            raise LengthMismatch(f"warm-start column out of range 0..{k - 1}: {seeds}")
-        passive[seeds] = True
-        restore_feasibility(entered=None)
 
     best_sq = np.inf
     while True:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from size_lens.adclus import build_design, fit, predict, r_squared, upper_triangle_values
 from size_lens.errors import LabelMismatch, LengthMismatch, ZeroVariance
 from size_lens.matrices import validate_feature_matrix, validate_similarity_matrix
+from size_lens.sizelaw import pearson
 
 
 def small_features():
@@ -19,13 +20,13 @@ def small_features():
 class TestBuildDesign:
     def test_rows_are_pairwise_products(self):
         design = build_design(small_features())
-        assert design.cells.tolist() == [
+        assert design.dtype == np.float64
+        # rows follow the row-major pair order (a,b), (a,c), (b,c)
+        assert design.tolist() == [
             [1, 1, 0],  # (a,b): share f1 and f2
             [1, 0, 1],  # (a,c): share f1 and f3
             [1, 0, 0],  # (b,c): share only f1
         ]
-        assert [(p.i, p.j) for p in design.pair_order] == [(0, 1), (0, 2), (1, 2)]
-        assert design.feature_names == ("f1", "f2", "f3")
 
     def test_row_count_is_n_choose_two(self):
         rng = np.random.default_rng(3)
@@ -33,8 +34,7 @@ class TestBuildDesign:
         features = validate_feature_matrix(
             [f"o{i}" for i in range(6)], [f"f{j}" for j in range(4)], cells
         )
-        design = build_design(features)
-        assert design.cells.shape == (15, 4)
+        assert build_design(features).shape == (15, 4)
 
 
 class TestPredict:
@@ -123,6 +123,13 @@ class TestFit:
         assert solution.weights.tolist() == pytest.approx([0.5, 0.3, 0.2], abs=1e-8)
         # the intercept never appears among the feature indices
         assert set(solution.nonzero_feature_indices) <= set(range(3))
+        # R² is the squared Pearson of the pair-space prediction plus the intercept
+        fitted = (
+            upper_triangle_values(predict(features, solution.weights))
+            + solution.intercept_weight
+        )
+        r = pearson(fitted, upper_triangle_values(shifted))
+        assert solution.r_squared == r * r
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))

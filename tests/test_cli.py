@@ -158,15 +158,19 @@ class TestAnalyze:
         rows = read_table(out / "table.csv")
         assert math.isnan(rows[0].pearson)
 
-    def test_threads_env_sequential_matches(self, tmp_path, monkeypatch):
-        sim = tmp_path / "sim"
-        simulate(sim, seed=7)
-        parallel = tmp_path / "par"
-        sequential = tmp_path / "seq"
-        analyze(parallel, (sim / "features.csv", sim / "similarity.csv"))
-        monkeypatch.setenv("SIZE_LENS_THREADS", "1")
-        analyze(sequential, (sim / "features.csv", sim / "similarity.csv"))
-        assert (parallel / "table.csv").read_bytes() == (sequential / "table.csv").read_bytes()
+    def test_table_rows_follow_input_order(self, tmp_path):
+        pairs = []
+        for seed in (3, 5, 7):
+            sim = tmp_path / f"sim{seed}"
+            simulate(sim, seed=seed)
+            pairs.append((sim / "features.csv", sim / "similarity.csv"))
+        out = tmp_path / "run"
+        names = ("zeta", "alpha", "mid")
+        extra = [arg for name in names for arg in ("--name", name)]
+        assert analyze(out, *pairs, extra=extra) == 0
+        assert tuple(row.set_name for row in read_table(out / "table.csv")) == names
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [d["name"] for d in manifest["datasets"]] == list(names)
 
     def test_strict_mismatch_exits_ingest(self, tmp_path, capsys):
         features = tmp_path / "f.csv"

@@ -12,8 +12,6 @@ from size_lens.errors import (
     TooFewObjects,
 )
 from size_lens.matrices import (
-    PairIndex,
-    upper_triangle_pairs,
     validate_feature_matrix,
     validate_similarity_matrix,
 )
@@ -110,22 +108,3 @@ class TestValidateSimilarityMatrix:
             [f"o{i}" for i in range(n)], noisy, symmetry_tolerance=scale
         )
         assert np.array_equal(sm.cells, sm.cells.T)
-
-
-class TestUpperTrianglePairs:
-    def test_three_objects(self):
-        assert upper_triangle_pairs(3) == [PairIndex(0, 1), PairIndex(0, 2), PairIndex(1, 2)]
-
-    def test_pair_count(self):
-        for n in (2, 3, 5, 12):
-            pairs = upper_triangle_pairs(n)
-            assert len(pairs) == n * (n - 1) // 2
-            assert all(p.i < p.j for p in pairs)
-
-    def test_row_major_order_matches_numpy(self):
-        ii, jj = np.triu_indices(7, k=1)
-        assert [(p.i, p.j) for p in upper_triangle_pairs(7)] == list(zip(ii.tolist(), jj.tolist()))
-
-    def test_too_few(self):
-        with pytest.raises(TooFewObjects):
-            upper_triangle_pairs(1)

@@ -137,14 +137,6 @@ class TestSolutionInvariants:
         assert first.residual_norm == second.residual_norm
         assert first.active_set == second.active_set
 
-    def test_warm_start_idempotent(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            problem = random_problem(rng)
-            solution = solve_nnls(problem)
-            again = solve_nnls(problem, warm_start=solution.active_set)
-            assert abs(again.residual_norm - solution.residual_norm) < 1e-12
-
     def test_iteration_limit_returns_tagged_best_iterate(self):
         problem = NnlsProblem(np.eye(3), [1.0, 2.0, 3.0])
         solution = solve_nnls(problem, max_iterations=1)
