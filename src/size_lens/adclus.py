@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LabelMismatch, LengthMismatch, ZeroVariance
 from .matrices import FeatureMatrix, SimilarityMatrix
-from .nnls import NnlsProblem, solve_nnls
+from .nnls import solve_nnls
 from .sizelaw import pearson
 
 __all__ = [
@@ -35,7 +35,9 @@ class WeightSolution:
     ``nonzero_feature_indices`` is the solver's active set; a weight counts
     as non-zero exactly when it is in that set. ``r_squared`` is the squared
     Pearson correlation between predicted and observed off-diagonal
-    similarities (NaN when either side is constant).
+    similarities (NaN when either side is constant). ``kkt_residual``,
+    ``gram_columns`` and ``degenerate_drops`` are the solver's diagnostics
+    (see ``NnlsSolution``).
     """
 
     feature_names: tuple[str, ...]
@@ -48,6 +50,9 @@ class WeightSolution:
     iterations: int
     converged: bool
     intercept_weight: float = 0.0
+    kkt_residual: float = 0.0
+    gram_columns: int = 0
+    degenerate_drops: int = 0
 
 
 def upper_triangle_values(similarity: SimilarityMatrix) -> np.ndarray:
@@ -99,6 +104,42 @@ def r_squared(predicted: SimilarityMatrix, observed: SimilarityMatrix) -> float:
     return _squared_pearson(upper_triangle_values(predicted), upper_triangle_values(observed))
 
 
+class _PairProblem:
+    """Gram form of the pair design, built from the feature matrix alone.
+
+    Pair row (i, j) of the design holds f_ik f_jk, so with c_j = F^T f_j the
+    Gram column is G[:, j] = c_j (c_j - 1) / 2 and h_j = f_j^T U f_j, where U
+    is the strict upper triangle of the similarity grid. The intercept's
+    constant pair column is that of a feature every object shares, so it is
+    fitted as one more column of ones in F. The pairs x features design
+    itself is never formed.
+    """
+
+    def __init__(self, features: FeatureMatrix, similarity: SimilarityMatrix, intercept: bool):
+        self.features = features
+        self.target = upper_triangle_values(similarity)
+        cells = features.cells.astype(np.float64)
+        if intercept:
+            cells = np.hstack([cells, np.ones((features.n_objects, 1))])
+        self._cells = cells
+        self.n_columns = cells.shape[1]
+        sizes = cells.sum(axis=0)
+        self.gram_diagonal = sizes * (sizes - 1.0) / 2.0
+        # einsum, unlike BLAS, rounds every column alike, so duplicate
+        # features get bit-identical h and tie-break toward the lower index.
+        upper = np.triu(similarity.cells, k=1)
+        self.gram_rhs = (np.einsum("ik,kj->ij", upper, cells) * cells).sum(axis=0)
+
+    def gram_column(self, j: int) -> np.ndarray:
+        shared = self._cells.T @ self._cells[:, j]
+        return shared * (shared - 1.0) / 2.0
+
+    def fitted(self, x: np.ndarray) -> np.ndarray:
+        k = self.features.n_features
+        intercept_weight = float(x[k]) if self.n_columns > k else 0.0
+        return upper_triangle_values(predict(self.features, x[:k])) + intercept_weight
+
+
 def fit(
     features: FeatureMatrix,
     similarity: SimilarityMatrix,
@@ -108,38 +149,31 @@ def fit(
 ) -> WeightSolution:
     """Fit non-negative feature weights to observed similarities.
 
-    The optional intercept adds a constant column to the design; its
-    coefficient shares the non-negativity constraint and is reported
-    separately from the feature weights.
+    The optional intercept adds a constant pair column; its coefficient
+    shares the non-negativity constraint and is reported separately from
+    the feature weights.
     """
     if features.object_names != similarity.object_names:
         raise LabelMismatch(
             "feature and similarity matrices label different objects "
             f"({features.object_names[:3]}... vs {similarity.object_names[:3]}...)"
         )
-    columns = build_design(features)
-    target = upper_triangle_values(similarity)
-    if with_intercept:
-        columns = np.hstack([columns, np.ones((columns.shape[0], 1))])
+    problem = _PairProblem(features, similarity, with_intercept)
     solution = solve_nnls(
-        NnlsProblem(columns, target),
-        kkt_tolerance=kkt_tolerance,
-        max_iterations=max_iterations,
+        problem, kkt_tolerance=kkt_tolerance, max_iterations=max_iterations
     )
     k = features.n_features
-    weights = solution.weights[:k]
-    intercept_weight = float(solution.weights[k]) if with_intercept else 0.0
     active = tuple(i for i in solution.active_set if i < k)
-    # Adding a zero intercept is exact, so without one this equals
+    # The fitted pair values add the intercept weight, which is an exact
+    # 0.0 without one, so the stored R² equals
     # r_squared(predict(features, weights), similarity) bit for bit.
-    fitted = upper_triangle_values(predict(features, weights)) + intercept_weight
     try:
-        r2 = _squared_pearson(fitted, target)
+        r2 = _squared_pearson(solution.fitted, problem.target)
     except ZeroVariance:
         r2 = float("nan")
     return WeightSolution(
         feature_names=features.feature_names,
-        weights=weights,
+        weights=solution.weights[:k],
         nonzero_feature_indices=active,
         feature_sizes=features.feature_sizes,
         r_squared=r2,
@@ -147,5 +181,8 @@ def fit(
         residual_norm=solution.residual_norm,
         iterations=solution.iterations,
         converged=solution.converged,
-        intercept_weight=intercept_weight,
+        intercept_weight=float(solution.weights[k]) if with_intercept else 0.0,
+        kkt_residual=solution.kkt_residual,
+        gram_columns=solution.gram_columns,
+        degenerate_drops=solution.degenerate_drops,
     )

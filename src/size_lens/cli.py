@@ -115,6 +115,12 @@ def _analyze_one(job: _AnalyzeJob) -> tuple[SizeLawReport, dict]:
         kkt_tolerance=job.kkt_tolerance,
         max_iterations=job.max_iterations,
     )
+    if not solution.converged:
+        print(
+            f"warning: dataset {job.name!r}: solver did not converge "
+            f"within {solution.iterations} iterations",
+            file=sys.stderr,
+        )
     nan = float("nan")
     points = None
     stats = None
@@ -145,6 +151,10 @@ def _analyze_one(job: _AnalyzeJob) -> tuple[SizeLawReport, dict]:
         "dropped_from_similarity": list(bundle.provenance.dropped_from_similarity),
         "solver_converged": solution.converged,
         "solver_iterations": solution.iterations,
+        "solver_kkt_residual": solution.kkt_residual,
+        "solver_active_size": len(solution.nonzero_feature_indices),
+        "solver_gram_columns": solution.gram_columns,
+        "solver_degenerate_drops": solution.degenerate_drops,
     }
     return report, meta
 

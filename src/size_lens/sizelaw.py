@@ -1,8 +1,10 @@
 """Statistics for the weight-versus-size relationship.
 
 Weights and sizes are compared on natural logs: Pearson correlation and the
-least-squares line live in raw log space, Spearman works on the raw values
-(it is invariant under the log), and z-scores exist only for plotting.
+least-squares line live in raw log space, Spearman ranks the raw values,
+and z-scores exist only for plotting. The log preserves order, so ranking
+logs would give the same Spearman only where the floating-point log keeps
+distinct values distinct; ranking the raw values avoids that condition.
 """
 
 from __future__ import annotations

@@ -172,6 +172,37 @@ class TestAnalyze:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [d["name"] for d in manifest["datasets"]] == list(names)
 
+    def test_manifest_carries_solver_diagnostics(self, tmp_path):
+        sim = tmp_path / "sim"
+        out = tmp_path / "run"
+        simulate(sim, seed=7, objects=10, n_features=6)
+        assert analyze(out, (sim / "features.csv", sim / "similarity.csv")) == 0
+        (dataset,) = json.loads((out / "manifest.json").read_text())["datasets"]
+        row = read_table(full_table_path(out / "table.csv"))[0]
+        assert dataset["solver_converged"] is True
+        assert dataset["solver_iterations"] >= row.fr_nonzero
+        assert 0.0 <= dataset["solver_kkt_residual"] <= 1e-8
+        assert dataset["solver_active_size"] == row.fr_nonzero
+        assert row.fr_nonzero <= dataset["solver_gram_columns"] <= row.fr_total
+        assert dataset["solver_degenerate_drops"] == 0
+
+    def test_unconverged_solve_is_reported_on_stderr(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        out = tmp_path / "run"
+        simulate(sim, seed=7, objects=10, n_features=6)
+        capsys.readouterr()
+        code = analyze(
+            out,
+            (sim / "features.csv", sim / "similarity.csv"),
+            extra=("--name", "short", "--max-iter", "1"),
+        )
+        assert code == 0  # the table is still written; the exit code is unchanged
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["warning: dataset 'short': solver did not converge within 1 iterations"]
+        (dataset,) = json.loads((out / "manifest.json").read_text())["datasets"]
+        assert dataset["solver_converged"] is False
+        assert dataset["solver_iterations"] == 1
+
     def test_strict_mismatch_exits_ingest(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         similarity = tmp_path / "s.csv"

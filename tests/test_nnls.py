@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from size_lens.errors import LengthMismatch
+from dense_nnls import dense_nnls
+from size_lens.errors import DegenerateColumnWarning, LengthMismatch
 from size_lens.nnls import NnlsProblem, default_kkt_tolerance, kkt_residual, solve_nnls
 
 
@@ -112,6 +113,45 @@ class TestOracleEquivalence:
             solution = solve_nnls(problem)
             assert (solution.weights >= 0.0).all()
             assert kkt_residual(problem, solution.weights) <= 1e-8
+
+
+class TestDenseOracle:
+    def test_full_rank_instances_match_dense_solver(self):
+        # m >= k uniform columns have full column rank, so the solution is
+        # unique and both solvers must walk to the same active set.
+        rng = np.random.default_rng(20260819)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            problem = random_problem(rng, m=int(rng.integers(k, 13)), k=k)
+            solution = solve_nnls(problem)
+            weights, active_set, _, converged = dense_nnls(problem.design, problem.target)
+            assert solution.converged and converged
+            assert solution.active_set == active_set
+            scale = max(1.0, float(np.abs(weights).max()))
+            assert float(np.abs(solution.weights - weights).max()) <= 1e-9 * scale
+
+    def test_diagnostics_come_from_the_final_gradient(self):
+        problem = NnlsProblem([[1.0, 1.0], [1.0, 0.0]], [2.0, -1.0])
+        solution = solve_nnls(problem)
+        assert solution.kkt_residual == pytest.approx(kkt_residual(problem, solution.weights))
+        assert solution.gram_columns == 1  # column 0 never entered
+        assert solution.degenerate_drops == 0
+        assert solution.fitted.tolist() == pytest.approx([2.0, 0.0])
+        # stopped early, the zero coordinates still violate
+        problem = NnlsProblem(np.eye(3), [1.0, 2.0, 3.0])
+        solution = solve_nnls(problem, max_iterations=1)
+        assert solution.kkt_residual == kkt_residual(problem, solution.weights) == 2.0
+
+    def test_dependent_entering_column_is_dropped_and_counted(self):
+        # One row: once column 1 fits the target, column 0 is a multiple of
+        # it, and with a tolerance below rounding it still looks violating.
+        # It must be dropped each time it enters, never admitted.
+        problem = NnlsProblem([[0.1, 0.3]], [0.1])
+        with pytest.warns(DegenerateColumnWarning):
+            solution = solve_nnls(problem, kkt_tolerance=1e-300)
+        assert solution.degenerate_drops >= 1
+        assert solution.active_set == (1,)
+        assert solution.weights[1] == pytest.approx(1.0 / 3.0)
 
 
 class TestSolutionInvariants:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from size_lens.adclus import WeightSolution, fit, predict
@@ -110,10 +110,14 @@ class TestSpearman:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.001, 1e6), min_size=3, max_size=12))
     def test_invariant_under_log(self, values):
+        # The log preserves order, but in floating point it can map adjacent
+        # distinct values to the same number, which turns them into a tie.
+        # The identity holds exactly when the logs stay as distinct as the
+        # values, so that is the precondition.
         x = np.asarray(values)
         y = np.arange(x.size, dtype=float)
-        if np.ptp(x) == 0.0:
-            return
+        assume(np.ptp(x) > 0.0)
+        assume(np.unique(np.log(x)).size == np.unique(x).size)
         assert spearman(x, y) == spearman(np.log(x), y)
 
 
